@@ -7,8 +7,11 @@ for every ported kernel:
   inverse) — the headline number; at N = 2^12 the numpy backend must be
   >= 10x faster than the exact python reference (asserted with ``--check``,
   which is on by default),
-* forward NTT, four-step NTT,
+* forward NTT,
 * element-wise modular multiply, and the fused Rescale kernel.
+
+The four-step NTT is not timed: every backend runs the same python reference
+of it (:meth:`ArithmeticBackend.four_step_ntt`), so there is no pair to compare.
 
 Every timed pair is also checked for bit-exact agreement, so the benchmark
 doubles as a smoke-level differential test.
@@ -30,8 +33,7 @@ import conftest
 
 from repro.fhe import modmath
 from repro.fhe.backend import NumpyBackend, PythonBackend, available_backends
-from repro.fhe.ntt import NTTContext, four_step_ntt
-from repro.fhe.backend import use_backend
+from repro.fhe.ntt import NTTContext
 
 #: The acceptance threshold for the headline kernel (N = 2^12 convolution).
 REQUIRED_CONVOLUTION_SPEEDUP = 10.0
@@ -85,22 +87,6 @@ def run_benchmarks(degrees: List[int], modulus_bits: int = 40,
                 "numpy_seconds": np_time,
                 "speedup": py_time / np_time if np_time > 0 else float("inf"),
             })
-        # four_step_ntt reads the process-active backend via the context.
-        rows = max(2, 1 << (degree.bit_length() // 2))
-        with use_backend(python_backend):
-            py_time, py_result = _best_of(lambda: four_step_ntt(context, a, rows), repeats)
-        with use_backend(numpy_backend):
-            np_time, np_result = _best_of(lambda: four_step_ntt(context, a, rows), numpy_repeats)
-        if py_result != np_result:  # pragma: no cover
-            raise AssertionError(f"backend mismatch in four_step_ntt at N={degree}")
-        records.append({
-            "kernel": f"four_step_ntt(rows={rows})",
-            "ring_degree": degree,
-            "modulus_bits": q.bit_length(),
-            "python_seconds": py_time,
-            "numpy_seconds": np_time,
-            "speedup": py_time / np_time if np_time > 0 else float("inf"),
-        })
     return records
 
 

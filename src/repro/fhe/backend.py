@@ -563,9 +563,10 @@ class ArithmeticBackend:
     def four_step_ntt(self, context, coefficients, rows: int) -> List[int]:
         """Four-step negacyclic NTT (see :func:`repro.fhe.ntt.four_step_ntt`).
 
-        The base implementation composes the element-wise and cyclic-batch
-        primitives with Python gather/scatter between phases; vectorized
-        backends override it to keep the transpose steps resident.
+        Composes the element-wise and cyclic-batch primitives with Python
+        gather/scatter between phases.  It is the golden reference of the
+        hardware split that every backend inherits; no production path
+        calls it, so no backend overrides it.
         """
         n = context.ring_degree
         cols = n // rows
@@ -629,7 +630,28 @@ class ArithmeticBackend:
 
     def cyclic_ntt_batch(self, matrix: Sequence[Sequence[int]], omega: int, q: int) -> List[List[int]]:
         """Independent in-order cyclic NTTs of every row of ``matrix``."""
-        raise NotImplementedError
+        return [self._cyclic_ntt(list(row), omega, q) for row in matrix]
+
+    @staticmethod
+    def _cyclic_ntt(values: List[int], omega: int, modulus: int) -> List[int]:
+        """In-order iterative radix-2 cyclic NTT of a power-of-two length."""
+        n = len(values)
+        order = _bit_reverse_indices(n)
+        data = [values[order[i]] % modulus for i in range(n)]
+        length = 2
+        while length <= n:
+            w_len = pow(omega, n // length, modulus)
+            for start in range(0, n, length):
+                w = 1
+                half = length // 2
+                for j in range(start, start + half):
+                    u = data[j]
+                    v = (data[j + half] * w) % modulus
+                    data[j] = (u + v) % modulus
+                    data[j + half] = (u - v) % modulus
+                    w = (w * w_len) % modulus
+            length *= 2
+        return data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -730,30 +752,6 @@ class PythonBackend(ArithmeticBackend):
             m = h
         n_inv = context.n_inv
         return [(c * n_inv) % q for c in coeffs]
-
-    def cyclic_ntt_batch(self, matrix, omega, q):
-        return [self._cyclic_ntt(list(row), omega, q) for row in matrix]
-
-    @staticmethod
-    def _cyclic_ntt(values: List[int], omega: int, modulus: int) -> List[int]:
-        """In-order iterative radix-2 cyclic NTT of a power-of-two length."""
-        n = len(values)
-        order = _bit_reverse_indices(n)
-        data = [values[order[i]] % modulus for i in range(n)]
-        length = 2
-        while length <= n:
-            w_len = pow(omega, n // length, modulus)
-            for start in range(0, n, length):
-                w = 1
-                half = length // 2
-                for j in range(start, start + half):
-                    u = data[j]
-                    v = (data[j + half] * w) % modulus
-                    data[j] = (u + v) % modulus
-                    data[j + half] = (u - v) % modulus
-                    w = (w * w_len) % modulus
-            length *= 2
-        return data
 
 
 # ---------------------------------------------------------------------------
@@ -871,11 +869,9 @@ if _np is not None:
         r = y * w - t * q_u          # true value in [0, 2q); wraps cancel
         return _np.minimum(r, r - q_u)
 
-    def _shoup32_split(values: Sequence[int], q: int):
-        """Twiddles plus their beta=2^32 Shoup constants ``floor(w * 2^32 / q)``."""
-        w = _np.array(values, dtype=_np.uint64)
-        s32 = _np.array([(int(v) << 32) // q for v in values], dtype=_np.uint64)
-        return w, s32
+    def _shoup32_row(values: Sequence[int], q: int):
+        """beta=2^32 Shoup constants ``floor(w * 2^32 / q)``: a ``(1, len)`` row."""
+        return _np.array([[(int(v) << 32) // q for v in values]], dtype=_np.uint64)
 
     def _shoup_mul_relaxed(y, w, ws_lo, ws_hi, q_u):
         """``w * y mod q`` up to THREE extra ``q``: result in ``[0, 4q)``.
@@ -903,11 +899,14 @@ if _np is not None:
 
     def _shoup_split(values: Sequence[int], q: int):
         """Twiddles plus their Shoup constants ``floor(w * 2^64 / q)``, pre-split
-        into 32-bit halves so the hot loop skips two mask/shift ops."""
-        w = _np.array(values, dtype=_np.uint64)
+        into 32-bit halves so the hot loop skips two mask/shift ops.
+
+        Returns three ``(1, len)`` limb rows: ``w``, ``lo`` and ``hi``.
+        """
         shoup = [(int(v) << 64) // q for v in values]
-        s_lo = _np.array([s & 0xFFFFFFFF for s in shoup], dtype=_np.uint64)
-        s_hi = _np.array([s >> 32 for s in shoup], dtype=_np.uint64)
+        w = _np.array([values], dtype=_np.uint64)
+        s_lo = _np.array([[s & 0xFFFFFFFF for s in shoup]], dtype=_np.uint64)
+        s_hi = _np.array([[s >> 32 for s in shoup]], dtype=_np.uint64)
         return w, s_lo, s_hi
 
     def _shoup_mul_lazy(y, w, ws_lo, ws_hi, q_u):
@@ -940,51 +939,17 @@ if _np is not None:
         result -= t
         return result               # wraps mod 2^64; true value is < 2q
 
-    class _NumpyNTTTables:
-        """Shoup twiddle tables for one ``(N, q)`` pair (plain domain)."""
+    class _NTTTables:
+        """Shoup twiddle tables for a stack of same-degree NTT limbs.
 
-        __slots__ = (
-            "q_u", "q2",
-            "fwd_w", "fwd_s_lo", "fwd_s_hi",
-            "inv_w", "inv_s_lo", "inv_s_hi",
-            "n_inv_w", "n_inv_s_lo", "n_inv_s_hi",
-            "r_w", "r_s_lo", "r_s_hi",
-            "use32", "fwd_s32", "inv_s32", "n_inv_s32",
-        )
-
-        def __init__(self, context):
-            q = context.modulus
-            self.q_u = _np.uint64(q)
-            self.q2 = _np.uint64(2 * q)
-            self.fwd_w, self.fwd_s_lo, self.fwd_s_hi = _shoup_split(context._fwd_twiddles, q)
-            self.inv_w, self.inv_s_lo, self.inv_s_hi = _shoup_split(context._inv_twiddles, q)
-            n_inv_w, n_inv_s_lo, n_inv_s_hi = _shoup_split([context.n_inv], q)
-            self.n_inv_w = n_inv_w[0]
-            self.n_inv_s_lo = n_inv_s_lo[0]
-            self.n_inv_s_hi = n_inv_s_hi[0]
-            # R = 2^64 mod q: pre-scaling one convolution operand by R lets the
-            # pointwise product exit the Montgomery domain in a single REDC.
-            r_w, r_s_lo, r_s_hi = _shoup_split([(1 << 64) % q], q)
-            self.r_w = r_w[0]
-            self.r_s_lo = r_s_lo[0]
-            self.r_s_hi = r_s_hi[0]
-            # <= 32-bit moduli (the TFHE primes) get direct single-word
-            # butterflies: beta = 2^32 Shoup constants, no limb splitting.
-            self.use32 = q.bit_length() <= 32
-            if self.use32:
-                _w, self.fwd_s32 = _shoup32_split(context._fwd_twiddles, q)
-                _w, self.inv_s32 = _shoup32_split(context._inv_twiddles, q)
-                self.n_inv_s32 = _np.uint64((context.n_inv << 32) // q)
-            else:
-                self.fwd_s32 = self.inv_s32 = self.n_inv_s32 = None
-
-    class _RNSNTTTables:
-        """Per-limb twiddle tables stacked along a leading limb axis.
-
-        Built from the per-limb :class:`_NumpyNTTTables` of one RNS basis:
-        the twiddle arrays become ``(L, N)`` matrices and the per-limb
-        constants ``(L, 1)`` columns, so the Cooley-Tukey/Gentleman-Sande
-        stage loops transform *every limb at once* with per-limb moduli.
+        Twiddles are ``(L, N)`` matrices and per-limb constants ``(L, 1)``
+        columns, so the Cooley-Tukey/Gentleman-Sande stage loops transform
+        every limb of an ``(..., L, N)`` stack at once, each under its own
+        modulus.  One ``(N, q)`` pair is the ``L = 1`` case
+        (:meth:`for_context`); an RNS basis concatenates those cached
+        one-limb tables (:meth:`stack`) instead of recomputing the per-limb
+        Shoup splits.  ``mont`` is the backend's cached
+        :class:`_MontgomeryVec` for the same moduli.
         """
 
         __slots__ = (
@@ -997,67 +962,64 @@ if _np is not None:
             "use32", "fwd_s32", "inv_s32", "n_inv_s32",
         )
 
-        def __init__(self, per_limb, moduli):
-            self.n = len(per_limb[0].fwd_w)
-            self.q_col = _np.array(moduli, dtype=_np.uint64)[:, None]
+        #: Per-limb arrays; :meth:`stack` concatenates them along the limb axis.
+        _LIMB_ARRAYS = (
+            "q_col",
+            "fwd_w", "fwd_lo", "fwd_hi",
+            "inv_w", "inv_lo", "inv_hi",
+            "n_inv_w", "n_inv_lo", "n_inv_hi",
+            "r_w", "r_lo", "r_hi",
+        )
+        _U32_ARRAYS = ("fwd_s32", "inv_s32", "n_inv_s32")
+
+        @classmethod
+        def for_context(cls, context, mont):
+            """The one-limb ``(1, N)`` tables of one ``(N, q)`` pair."""
+            q = context.modulus
+            tabs = cls()
+            tabs.n = context.ring_degree
+            tabs.q_col = _np.array([[q]], dtype=_np.uint64)
+            fwd, inv = context._fwd_twiddles, context._inv_twiddles
+            n_inv = [context.n_inv]
+            tabs.fwd_w, tabs.fwd_lo, tabs.fwd_hi = _shoup_split(fwd, q)
+            tabs.inv_w, tabs.inv_lo, tabs.inv_hi = _shoup_split(inv, q)
+            tabs.n_inv_w, tabs.n_inv_lo, tabs.n_inv_hi = _shoup_split(n_inv, q)
+            # R = 2^64 mod q: pre-scaling one convolution operand by R lets the
+            # pointwise product exit the Montgomery domain in a single REDC.
+            tabs.r_w, tabs.r_lo, tabs.r_hi = _shoup_split([(1 << 64) % q], q)
+            # <= 32-bit moduli (the TFHE primes and word-size CKKS chains) get
+            # direct single-word butterflies: beta = 2^32 Shoup constants, no
+            # limb splitting.
+            tabs.use32 = q.bit_length() <= 32
+            if tabs.use32:
+                tabs.fwd_s32 = _shoup32_row(fwd, q)
+                tabs.inv_s32 = _shoup32_row(inv, q)
+                tabs.n_inv_s32 = _shoup32_row(n_inv, q)
+            else:
+                tabs.fwd_s32 = tabs.inv_s32 = tabs.n_inv_s32 = None
+            tabs._finish(mont)
+            return tabs
+
+        @classmethod
+        def stack(cls, parts, mont):
+            """Concatenate one-limb tables into the tables of their basis."""
+            tabs = cls()
+            tabs.n = parts[0].n
+            for name in cls._LIMB_ARRAYS:
+                setattr(tabs, name, _np.concatenate([getattr(p, name) for p in parts]))
+            # The stack takes the single-word butterflies only if every limb can.
+            tabs.use32 = all(p.use32 for p in parts)
+            for name in cls._U32_ARRAYS:
+                setattr(tabs, name, _np.concatenate([getattr(p, name) for p in parts])
+                        if tabs.use32 else None)
+            tabs._finish(mont)
+            return tabs
+
+        def _finish(self, mont):
             self.q2_col = self.q_col * _np.uint64(2)
             self.q_s = self.q_col[:, :, None]
             self.q2_s = self.q2_col[:, :, None]
-            self.fwd_w = _np.stack([t.fwd_w for t in per_limb])
-            self.fwd_lo = _np.stack([t.fwd_s_lo for t in per_limb])
-            self.fwd_hi = _np.stack([t.fwd_s_hi for t in per_limb])
-            self.inv_w = _np.stack([t.inv_w for t in per_limb])
-            self.inv_lo = _np.stack([t.inv_s_lo for t in per_limb])
-            self.inv_hi = _np.stack([t.inv_s_hi for t in per_limb])
-            self.n_inv_w = _np.array([t.n_inv_w for t in per_limb])[:, None]
-            self.n_inv_lo = _np.array([t.n_inv_s_lo for t in per_limb])[:, None]
-            self.n_inv_hi = _np.array([t.n_inv_s_hi for t in per_limb])[:, None]
-            self.r_w = _np.array([t.r_w for t in per_limb])[:, None]
-            self.r_lo = _np.array([t.r_s_lo for t in per_limb])[:, None]
-            self.r_hi = _np.array([t.r_s_hi for t in per_limb])[:, None]
-            self.mont = _MontgomeryVec(moduli)
-            # All limbs < 2^32: the whole stack takes the direct single-word
-            # butterflies (per-limb beta = 2^32 constants).
-            self.use32 = all(t.use32 for t in per_limb)
-            if self.use32:
-                self.fwd_s32 = _np.stack([t.fwd_s32 for t in per_limb])
-                self.inv_s32 = _np.stack([t.inv_s32 for t in per_limb])
-                self.n_inv_s32 = _np.array(
-                    [t.n_inv_s32 for t in per_limb]
-                )[:, None]
-            else:
-                self.fwd_s32 = self.inv_s32 = self.n_inv_s32 = None
-
-    class _FourStepTables:
-        """Backend-resident tables for one ``(N, q, rows)`` four-step split."""
-
-        __slots__ = (
-            "order", "omega_rows", "omega_cols", "omega_rows_inv", "omega_cols_inv",
-            "psi_w", "psi_lo", "psi_hi",
-            "psi_inv_w", "psi_inv_lo", "psi_inv_hi",
-            "tw_w", "tw_lo", "tw_hi",
-            "tw_inv_w", "tw_inv_lo", "tw_inv_hi",
-        )
-
-        def __init__(self, context, rows):
-            n = context.ring_degree
-            q = context.modulus
-            cols = n // rows
-            self.order = _np.array(_bit_reverse_indices(n), dtype=_np.intp)
-            self.omega_rows = pow(context.omega, cols, q)
-            self.omega_cols = pow(context.omega, rows, q)
-            self.omega_rows_inv = pow(context.omega_inv, cols, q)
-            self.omega_cols_inv = pow(context.omega_inv, rows, q)
-            self.psi_w, self.psi_lo, self.psi_hi = _shoup_split(context._psi_powers, q)
-            self.psi_inv_w, self.psi_inv_lo, self.psi_inv_hi = _shoup_split(
-                context._psi_inv_powers, q
-            )
-            self.tw_w, self.tw_lo, self.tw_hi = _shoup_split(
-                context.four_step_twiddles(rows), q
-            )
-            self.tw_inv_w, self.tw_inv_lo, self.tw_inv_hi = _shoup_split(
-                context.four_step_twiddles(rows, inverse=True), q
-            )
+            self.mont = mont
 
 
 class NumpyBackend(ArithmeticBackend):
@@ -1076,6 +1038,15 @@ class NumpyBackend(ArithmeticBackend):
     load and downcast on store; the arithmetic itself is unchanged (and the
     parity suite proves the mode bit-exact).  Defaults to the
     ``REPRO_U32_STORE`` environment variable.
+
+    Every transform runs through one NTT core: :meth:`_ntt` / :meth:`_intt`
+    over ``(..., L, n)`` stacks with one table class (:class:`_NTTTables`)
+    and one table cache.  The packed limb kernels are the ``L > 1`` case;
+    the single-modulus entry points (:meth:`ntt_forward`,
+    :meth:`negacyclic_convolution`, :meth:`ntt_forward_batch`, ...) are the
+    ``L = 1`` case.  Each picks its butterflies from the modulus width:
+    direct single-word products for moduli below 2^32, lazy Harvey
+    butterflies on emulated 64-bit products above.
     """
 
     name = "numpy"
@@ -1094,10 +1065,7 @@ class NumpyBackend(ArithmeticBackend):
         self.store_uint32 = store_uint32
         self._mont_cache: Dict[int, _Montgomery] = {}
         self._mont_vec_cache: Dict[tuple, _MontgomeryVec] = {}
-        self._ntt_tables: Dict[tuple, _NumpyNTTTables] = {}
-        self._rns_ntt_tables: Dict[tuple, "_RNSNTTTables | None"] = {}
-        self._cyclic_tables: Dict[tuple, list] = {}
-        self._four_step_tables: Dict[tuple, _FourStepTables] = {}
+        self._ntt_cache: Dict[tuple, "_NTTTables | None"] = {}
         self._q_col_cache: Dict[tuple, object] = {}
 
     # -- modulus classification -------------------------------------------
@@ -1515,111 +1483,58 @@ class NumpyBackend(ArithmeticBackend):
         return self._finalize(acc, plan.target_moduli)
 
     def batched_ntt(self, contexts, store):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._ntt_tables(tuple(contexts))
         x = self._matrix(store)
         if tabs is None or x is None:
             return super().batched_ntt(contexts, store)
         moduli = tuple(ctx.modulus for ctx in contexts)
-        if tabs.use32:
-            return self._finalize(
-                self._forward_stages_rns_u32(x.copy(), tabs), moduli
-            )
-        x = self._forward_stages_rns(x.copy(), tabs)
-        x = _np.minimum(x, x - tabs.q2_col)
-        return _np.minimum(x, x - tabs.q_col)
+        return self._finalize(self._ntt(x.copy(), tabs), moduli)
 
     def batched_intt(self, contexts, store):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._ntt_tables(tuple(contexts))
         x = self._matrix(store)
         if tabs is None or x is None:
             return super().batched_intt(contexts, store)
         moduli = tuple(ctx.modulus for ctx in contexts)
-        if tabs.use32:
-            x = self._inverse_stages_rns_u32(x.copy(), tabs)
-            return self._finalize(
-                _shoup32_mul(x, tabs.n_inv_w, tabs.n_inv_s32, tabs.q_col), moduli
-            )
-        x = self._inverse_stages_rns(x.copy(), tabs)
-        v = _shoup_mul_lazy(x, tabs.n_inv_w, tabs.n_inv_lo, tabs.n_inv_hi,
-                            tabs.q_col)
-        return _np.minimum(v, v - tabs.q_col)
+        return self._finalize(self._intt(x.copy(), tabs), moduli)
 
     def limbs_convolution(self, contexts, a, b):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._ntt_tables(tuple(contexts))
         x = self._matrix(a)
         y = self._matrix(b)
         if tabs is None or x is None or y is None:
             return super().limbs_convolution(contexts, a, b)
-        if tabs.use32:
-            # Direct single-word path: transforms stay fully reduced, so the
-            # pointwise product is one 64-bit multiply plus one remainder.
-            z = self._forward_stages_rns_u32(_np.stack([x, y]), tabs)
-            prod = (z[0] * z[1]) % tabs.q_col
-            w = self._inverse_stages_rns_u32(prod, tabs)
-            return self._finalize(
-                _shoup32_mul(w, tabs.n_inv_w, tabs.n_inv_s32, tabs.q_col),
-                tuple(ctx.modulus for ctx in contexts),
-            )
-        # b rides the transform pre-scaled by R = 2^64 per limb, so the
-        # pointwise product exits the Montgomery domain in one REDC.
-        yb = _shoup_mul_lazy(y, tabs.r_w, tabs.r_lo, tabs.r_hi, tabs.q_col)
-        z = _np.stack([x, yb])                      # (2, L, n); both < 2q
-        z = self._forward_stages_rns(z, tabs)
-        z = _np.minimum(z, z - tabs.q2_col)
-        z = _np.minimum(z, z - tabs.q_col)
-        prod = tabs.mont.mont_mul(z[0], z[1])       # (a)(bR)R^-1 = ab mod q_i
-        w = self._inverse_stages_rns(prod, tabs)
-        v = _shoup_mul_lazy(w, tabs.n_inv_w, tabs.n_inv_lo, tabs.n_inv_hi,
-                            tabs.q_col)
-        return _np.minimum(v, v - tabs.q_col)
+        moduli = tuple(ctx.modulus for ctx in contexts)
+        return self._finalize(self._convolve(x, y, tabs), moduli)
 
     def limbs_eval_key(self, contexts, store):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._ntt_tables(tuple(contexts))
         x = self._matrix(store)
         if tabs is None or x is None:
             return super().limbs_eval_key(contexts, store)
+        payload = self._ntt(self._scale_r(x.copy(), tabs), tabs)
         if tabs.use32:
-            payload = self._forward_stages_rns_u32(x.copy(), tabs)
-            if self.store_uint32:
-                # Narrow storage halves the resident key-cache footprint.
-                payload = payload.astype(_np.uint32)
-            return ("u32", payload, store)
-        # Pre-scale by R = 2^64 per limb so the pointwise product against a
-        # plain (lazy) transform exits the Montgomery domain in one REDC.
-        yb = _shoup_mul_lazy(x, tabs.r_w, tabs.r_lo, tabs.r_hi, tabs.q_col)
-        z = self._forward_stages_rns(yb, tabs)
-        z = _np.minimum(z, z - tabs.q2_col)
-        return ("montR", _np.minimum(z, z - tabs.q_col), store)
+            # Narrow storage halves the resident key-cache footprint.
+            moduli = tuple(ctx.modulus for ctx in contexts)
+            return ("u32", self._finalize(payload, moduli), store)
+        return ("montR", payload, store)
 
     def limbs_mac_eval(self, contexts, store, key_handles):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._ntt_tables(tuple(contexts))
         x = self._matrix(store)
         form = "u32" if tabs is not None and tabs.use32 else "montR"
         prepared = all(handle[0] == form for handle in key_handles)
         if tabs is None or x is None or not prepared:
             return super().limbs_mac_eval(contexts, store, key_handles)
-        if tabs.use32:
-            fx = self._forward_stages_rns_u32(x.copy(), tabs)
-            prods = _np.stack(
-                [(fx * handle[1]) % tabs.q_col for handle in key_handles]
-            )
-            out = self._inverse_stages_rns_u32(prods, tabs)
-            out = _shoup32_mul(out, tabs.n_inv_w, tabs.n_inv_s32, tabs.q_col)
-            return [out[idx] for idx in range(len(key_handles))]
-        fx = self._forward_stages_rns(x.copy(), tabs)
-        fx = _np.minimum(fx, fx - tabs.q2_col)
-        fx = _np.minimum(fx, fx - tabs.q_col)
+        fx = self._ntt(x.copy(), tabs)
         prods = _np.stack(
-            [tabs.mont.mont_mul(fx, handle[1]) for handle in key_handles]
+            [self._eval_mul(fx, handle[1], tabs) for handle in key_handles]
         )
-        out = self._inverse_stages_rns(prods, tabs)
-        v = _shoup_mul_lazy(out, tabs.n_inv_w, tabs.n_inv_lo, tabs.n_inv_hi,
-                            tabs.q_col)
-        v = _np.minimum(v, v - tabs.q_col)
-        return [v[idx] for idx in range(len(key_handles))]
+        out = self._intt(prods, tabs)
+        return [out[idx] for idx in range(len(key_handles))]
 
     def limbs_eval_mac(self, contexts, digit_stores, key_handles):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._ntt_tables(tuple(contexts))
         mats = [self._matrix(store) for store in digit_stores]
         form = "u32" if tabs is not None and tabs.use32 else "montR"
         prepared = all(
@@ -1632,13 +1547,7 @@ class NumpyBackend(ArithmeticBackend):
         for component in range(len(key_handles[0])):
             acc = None
             for mat, handles in zip(mats, key_handles):
-                payload = handles[component][1]
-                if tabs.use32:
-                    term = (mat * payload) % q      # u32 payload promotes to u64
-                else:
-                    # mont_mul(plain, key*R) exits the Montgomery domain: the
-                    # term is the plain product, fully reduced.
-                    term = tabs.mont.mont_mul(mat, payload)
+                term = self._eval_mul(mat, handles[component][1], tabs)
                 if acc is None:
                     acc = term
                 else:
@@ -1670,36 +1579,22 @@ class NumpyBackend(ArithmeticBackend):
         )
 
     def stacked_intt(self, contexts, stores):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._ntt_tables(tuple(contexts))
         mats = [self._matrix(store) for store in stores]
         if tabs is None or any(m is None for m in mats):
             return super().stacked_intt(contexts, stores)
         moduli = tuple(ctx.modulus for ctx in contexts)
-        x = _np.stack(mats)                         # (C, L, n): one dispatch
-        if tabs.use32:
-            x = self._inverse_stages_rns_u32(x, tabs)
-            out = _shoup32_mul(x, tabs.n_inv_w, tabs.n_inv_s32, tabs.q_col)
-            return [self._finalize(out[i], moduli) for i in range(len(mats))]
-        x = self._inverse_stages_rns(x, tabs)
-        v = _shoup_mul_lazy(x, tabs.n_inv_w, tabs.n_inv_lo, tabs.n_inv_hi,
-                            tabs.q_col)
-        v = _np.minimum(v, v - tabs.q_col)
-        return [v[i] for i in range(len(mats))]
+        out = self._intt(_np.stack(mats), tabs)     # (C, L, n): one dispatch
+        return [self._finalize(out[i], moduli) for i in range(len(mats))]
 
     def stacked_ntt(self, contexts, stores):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._ntt_tables(tuple(contexts))
         mats = [self._matrix(store) for store in stores]
         if tabs is None or any(m is None for m in mats):
             return super().stacked_ntt(contexts, stores)
         moduli = tuple(ctx.modulus for ctx in contexts)
-        x = _np.stack(mats)                         # (C, L, n): one dispatch
-        if tabs.use32:
-            out = self._forward_stages_rns_u32(x, tabs)
-            return [self._finalize(out[i], moduli) for i in range(len(mats))]
-        x = self._forward_stages_rns(x, tabs)
-        x = _np.minimum(x, x - tabs.q2_col)
-        x = _np.minimum(x, x - tabs.q_col)
-        return [x[i] for i in range(len(mats))]
+        out = self._ntt(_np.stack(mats), tabs)      # (C, L, n): one dispatch
+        return [self._finalize(out[i], moduli) for i in range(len(mats))]
 
     def stacked_gather(self, stores, spec):
         if (
@@ -1851,104 +1746,129 @@ class NumpyBackend(ArithmeticBackend):
             rows.append((digit % q64).tolist())
         return rows
 
-    # -- NTT ---------------------------------------------------------------
-    def _tables(self, context) -> "_NumpyNTTTables":
-        key = (context.ring_degree, context.modulus)
-        tables = self._ntt_tables.get(key)
-        if tables is None:
-            tables = _NumpyNTTTables(context)
-            self._ntt_tables[key] = tables
-        return tables
+    # -- NTT: one core for single rows (L = 1) and limb stacks ---------------
+    def _ntt_tables(self, contexts) -> "_NTTTables | None":
+        """Stacked tables for a tuple of same-degree NTT contexts.
 
-    def _ntt_ok(self, context) -> bool:
-        # The lazy butterflies keep values in [0, 4q), so 4q must fit a word;
-        # the exit pointwise reduction additionally wants an odd modulus
-        # (always true for NTT-friendly primes).
-        return (
-            context.ring_degree >= self.min_ntt_length
-            and self._mont(context.modulus) is not None
-        )
+        ``None`` below ``min_ntt_length`` and for moduli the lazy butterflies
+        cannot hold (even, or ``4q`` beyond a word): callers then take the
+        python reference.  One-limb tables are cached per ``(N, q)`` and a
+        basis stacks the cached limbs, so every tuple shares the Shoup splits.
+        """
+        if not contexts:
+            return None
+        n = contexts[0].ring_degree
+        moduli = tuple(ctx.modulus for ctx in contexts)
+        key = (n, moduli)
+        if key in self._ntt_cache:
+            return self._ntt_cache[key]
+        mont = self._mont_vec(moduli)
+        if (
+            n < self.min_ntt_length
+            or mont is None
+            or any(ctx.ring_degree != n for ctx in contexts)
+        ):
+            tabs = None
+        elif len(contexts) == 1:
+            tabs = _NTTTables.for_context(contexts[0], mont)
+        else:
+            tabs = _NTTTables.stack(
+                [self._ntt_tables((ctx,)) for ctx in contexts], mont
+            )
+        self._ntt_cache[key] = tabs
+        return tabs
+
+    @classmethod
+    def _ntt(cls, x, tabs):
+        """Forward NTT of an ``(..., L, n)`` stack, fully reduced.
+
+        ``x`` is transformed in place (pass a scratch array) and must hold
+        values below ``q`` on the single-word path, below ``4q`` otherwise.
+        """
+        if tabs.use32:
+            return cls._forward_stages_u32(x, tabs)
+        x = cls._forward_stages(x, tabs)
+        x = _np.minimum(x, x - tabs.q2_col)
+        return _np.minimum(x, x - tabs.q_col)
+
+    @classmethod
+    def _intt(cls, x, tabs):
+        """Inverse NTT, including the ``n^-1`` scale, of an ``(..., L, n)``
+        stack of reduced values; in place, fully reduced."""
+        if tabs.use32:
+            x = cls._inverse_stages_u32(x, tabs)
+            return _shoup32_mul(x, tabs.n_inv_w, tabs.n_inv_s32, tabs.q_col)
+        x = cls._inverse_stages(x, tabs)
+        x = _shoup_mul_lazy(x, tabs.n_inv_w, tabs.n_inv_lo, tabs.n_inv_hi,
+                            tabs.q_col)
+        return _np.minimum(x, x - tabs.q_col)
+
+    @staticmethod
+    def _scale_r(x, tabs):
+        """Prepare the right operand of :meth:`_eval_mul` for its transform.
+
+        On the Montgomery path it is pre-scaled by ``R = 2^64`` (lazily, to
+        ``[0, 2q)``); the transform is linear, so the evaluation values carry
+        ``R`` too and the pointwise product exits the Montgomery domain in
+        one REDC.  The single-word path multiplies directly: ``x`` as is.
+        """
+        if tabs.use32:
+            return x
+        return _shoup_mul_lazy(x, tabs.r_w, tabs.r_lo, tabs.r_hi, tabs.q_col)
+
+    @staticmethod
+    def _eval_mul(x, y, tabs):
+        """Pointwise ``x * y`` of a transform and a :meth:`_scale_r` transform."""
+        if tabs.use32:
+            return (x * y) % tabs.q_col             # a u32 payload promotes to u64
+        return tabs.mont.mont_mul(x, y)             # (x)(yR)R^-1 = xy mod q
+
+    def _convolve(self, x, y, tabs):
+        """Negacyclic products of two ``(L, n)`` stacks, fully reduced."""
+        # Both forward transforms ride one stacked array: the stage loop is
+        # overhead-bound at these sizes, so batching nearly halves its cost.
+        z = self._ntt(_np.stack([x, self._scale_r(y, tabs)]), tabs)
+        return self._intt(self._eval_mul(z[0], z[1], tabs), tabs)
+
+    def _row_transforms(self, context, rows, inverse: bool):
+        """Same-modulus list rows through the core as one ``(B, 1, n)`` stack."""
+        tabs = self._ntt_tables((context,))
+        if tabs is None or not rows:
+            # The python reference, not super(): the base batch methods loop
+            # over ntt_forward/ntt_inverse, which come back here.
+            if inverse:
+                return self._fallback.ntt_inverse_batch(context, rows)
+            return self._fallback.ntt_forward_batch(context, rows)
+        q = context.modulus
+        x = _np.stack([self._to_array(row, q) for row in rows])
+        x = x.reshape(len(rows), 1, context.ring_degree)
+        x = self._intt(x, tabs) if inverse else self._ntt(x, tabs)
+        return x.reshape(len(rows), context.ring_degree).tolist()
 
     def ntt_forward(self, context, coefficients):
         self._check_length(context, coefficients)
-        if not self._ntt_ok(context):
-            return self._fallback.ntt_forward(context, coefficients)
-        tables = self._tables(context)
-        x = self._to_array(coefficients, context.modulus)
-        if tables.use32:
-            return self._forward_stages_u32(context.ring_degree, x, tables).tolist()
-        x = self._forward_stages(context.ring_degree, x, tables)
-        return self._reduce_4q(x, tables).tolist()
+        return self._row_transforms(context, [coefficients], inverse=False)[0]
 
     def ntt_inverse(self, context, values):
         self._check_length(context, values)
-        if not self._ntt_ok(context):
-            return self._fallback.ntt_inverse(context, values)
-        tables = self._tables(context)
-        x = self._to_array(values, context.modulus)
-        if tables.use32:
-            x = self._inverse_stages_u32(context.ring_degree, x, tables)
-            return _shoup32_mul(x, tables.n_inv_w, tables.n_inv_s32, tables.q_u).tolist()
-        x = self._inverse_stages(context.ring_degree, x, tables)
-        return self._exit_scale(x, tables).tolist()
+        return self._row_transforms(context, [values], inverse=True)[0]
+
+    def ntt_forward_batch(self, context, rows):
+        return self._row_transforms(context, rows, inverse=False)
+
+    def ntt_inverse_batch(self, context, rows):
+        return self._row_transforms(context, rows, inverse=True)
 
     def negacyclic_convolution(self, context, a, b):
         self._check_length(context, a)
         self._check_length(context, b)
-        if not self._ntt_ok(context):
+        tabs = self._ntt_tables((context,))
+        if tabs is None:
             return self._fallback.negacyclic_convolution(context, a, b)
-        tables = self._tables(context)
-        n = context.ring_degree
         q = context.modulus
-        xa = self._to_array(a, q)
-        xb = self._to_array(b, q)
-        if tables.use32:
-            # Direct single-word path: transforms stay fully reduced, so the
-            # pointwise product is one 64-bit multiply plus one remainder.
-            x = self._forward_stages_u32(n, _np.stack([xa, xb]), tables)
-            prod = (x[0] * x[1]) % tables.q_u
-            y = self._inverse_stages_u32(n, prod, tables)
-            return _shoup32_mul(y, tables.n_inv_w, tables.n_inv_s32, tables.q_u).tolist()
-        # b enters the transform pre-scaled by R = 2^64 (the transform is
-        # linear, so the evaluation values come out scaled by R as well).
-        xb = _shoup_mul_lazy(xb, tables.r_w,
-                             tables.r_s_lo, tables.r_s_hi, tables.q_u)
-        # Both forward transforms ride one stacked array: the stage loop is
-        # overhead-bound at these sizes, so batching nearly halves its cost.
-        x = self._forward_stages(n, _np.stack([xa, xb]), tables)
-        x = self._reduce_4q(x, tables)
-        prod = self._mont(q).mont_mul(x[0], x[1])   # (a)(bR)R^-1 = ab mod q
-        y = self._inverse_stages(n, prod, tables)
-        return self._exit_scale(y, tables).tolist()
-
-    def ntt_forward_batch(self, context, rows):
-        if not rows:
-            return []
-        if not self._ntt_ok(context):
-            return super().ntt_forward_batch(context, rows)
-        tables = self._tables(context)
-        n = context.ring_degree
-        q = context.modulus
-        x = _np.stack([self._to_array(row, q) for row in rows])
-        if tables.use32:
-            return self._forward_stages_u32(n, x, tables).tolist()
-        x = self._forward_stages(n, x, tables)
-        return self._reduce_4q(x, tables).tolist()
-
-    def ntt_inverse_batch(self, context, rows):
-        if not rows:
-            return []
-        if not self._ntt_ok(context):
-            return super().ntt_inverse_batch(context, rows)
-        tables = self._tables(context)
-        n = context.ring_degree
-        q = context.modulus
-        x = _np.stack([self._to_array(row, q) for row in rows])
-        if tables.use32:
-            x = self._inverse_stages_u32(n, x, tables)
-            return _shoup32_mul(x, tables.n_inv_w, tables.n_inv_s32, tables.q_u).tolist()
-        x = self._inverse_stages(n, x, tables)
-        return self._exit_scale(x, tables).tolist()
+        x = self._to_array(a, q)[None, :]
+        y = self._to_array(b, q)[None, :]
+        return self._convolve(x, y, tabs)[0].tolist()
 
     def pointwise_mac(self, rows_a, rows_b, q):
         if len(rows_a) != len(rows_b):
@@ -1971,133 +1891,15 @@ class NumpyBackend(ArithmeticBackend):
         return acc.tolist()
 
     @staticmethod
-    def _reduce_4q(x, tables):
-        """Exact reduction of lazily-accumulated values from [0, 4q) to [0, q)."""
-        x = _np.minimum(x, x - tables.q2)
-        return _np.minimum(x, x - tables.q_u)
-
-    @staticmethod
-    def _exit_scale(x, tables):
-        """Multiply by n^-1 (Shoup) and reduce exactly; input < 2q, output < q."""
-        x = _shoup_mul_lazy(x, tables.n_inv_w, tables.n_inv_s_lo,
-                            tables.n_inv_s_hi, tables.q_u)
-        return _np.minimum(x, x - tables.q_u)
-
-    @staticmethod
-    def _forward_stages(n: int, x, tables):
+    def _forward_stages(x, tabs):
         """Cooley-Tukey stages with Harvey lazy reduction (values < 4q).
 
-        ``x`` may carry a leading batch dimension: shape ``(n,)`` or
-        ``(B, n)``; every batch row is transformed independently in place.
-        Conditional subtraction uses the wraparound trick
+        ``x`` is an ``(..., L, n)`` stack transformed in place.  The twiddle
+        tables are ``(L, n)`` matrices and the modulus constants
+        ``(L, 1, 1)`` columns, so every limb transforms under its own modulus
+        in one pass.  Conditional subtraction uses the wraparound trick
         ``min(v, v - q)``: when ``v < q`` the subtraction wraps to a huge
         value and ``min`` keeps ``v``, else it keeps the reduced value.
-        """
-        q_u = tables.q_u
-        q2 = tables.q2
-        batch = 1 if x.ndim == 1 else x.shape[0]
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            blocks = x.reshape(batch, m, 2 * t)
-            u0 = blocks[:, :, :t]
-            u = _np.minimum(u0, u0 - q2)                   # < 2q
-            sl = slice(m, 2 * m)
-            v = _shoup_mul_lazy(
-                blocks[:, :, t:], tables.fwd_w[None, sl, None],
-                tables.fwd_s_lo[None, sl, None],
-                tables.fwd_s_hi[None, sl, None], q_u,
-            )                                              # < 2q
-            _np.add(u, v, out=blocks[:, :, :t])            # < 4q
-            v -= q2
-            _np.subtract(u, v, out=blocks[:, :, t:])       # u - v + 2q < 4q
-            m *= 2
-        return x
-
-    @staticmethod
-    def _inverse_stages(n: int, x, tables):
-        """Gentleman-Sande stages with lazy reduction (values < 2q)."""
-        q_u = tables.q_u
-        q2 = tables.q2
-        batch = 1 if x.ndim == 1 else x.shape[0]
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            blocks = x.reshape(batch, h, 2 * t)
-            u = blocks[:, :, :t]
-            v = blocks[:, :, t:]
-            s = u + v                                      # < 4q
-            d = u + (q2 - v)                               # < 4q (true value, fine for Shoup)
-            sl = slice(h, 2 * h)
-            _np.minimum(s, s - q2, out=blocks[:, :, :t])   # < 2q
-            blocks[:, :, t:] = _shoup_mul_lazy(
-                d, tables.inv_w[None, sl, None],
-                tables.inv_s_lo[None, sl, None],
-                tables.inv_s_hi[None, sl, None], q_u,
-            )                                              # < 2q
-            t *= 2
-            m = h
-        return x
-
-    @staticmethod
-    def _forward_stages_u32(n: int, x, tables):
-        """CT stages with direct single-word products (moduli < 2^32).
-
-        Values stay fully reduced (< q) at every stage, so each butterfly
-        operand satisfies the ``y < 2^32`` Shoup precondition.  ``x`` may
-        carry any number of leading batch dimensions.
-        """
-        q_u = tables.q_u
-        lead = x.shape[:-1]
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            blocks = x.reshape(lead + (m, 2 * t))
-            sl = slice(m, 2 * m)
-            u = blocks[..., :t]
-            v = _shoup32_mul(blocks[..., t:], tables.fwd_w[sl][:, None],
-                             tables.fwd_s32[sl][:, None], q_u)
-            s = u + v                                      # < 2q
-            d = u - v                                      # wraps when negative
-            _np.minimum(s, s - q_u, out=blocks[..., :t])   # < q
-            _np.minimum(d, d + q_u, out=blocks[..., t:])   # < q
-            m *= 2
-        return x
-
-    @staticmethod
-    def _inverse_stages_u32(n: int, x, tables):
-        """GS stages with direct single-word products (moduli < 2^32)."""
-        q_u = tables.q_u
-        lead = x.shape[:-1]
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            blocks = x.reshape(lead + (h, 2 * t))
-            sl = slice(h, 2 * h)
-            u = blocks[..., :t]
-            v = blocks[..., t:]
-            s = u + v
-            d = u - v
-            d = _np.minimum(d, d + q_u)                    # < q
-            _np.minimum(s, s - q_u, out=blocks[..., :t])   # < q
-            blocks[..., t:] = _shoup32_mul(d, tables.inv_w[sl][:, None],
-                                           tables.inv_s32[sl][:, None], q_u)
-            t *= 2
-            m = h
-        return x
-
-    @staticmethod
-    def _forward_stages_rns(x, tabs):
-        """CT stages over an ``(L, n)`` (or ``(B, L, n)``) limb stack.
-
-        Same lazy Harvey butterflies as :meth:`_forward_stages`, but the
-        twiddle tables are ``(L, n)`` matrices and the modulus constants
-        ``(L, 1, 1)`` columns, so every limb transforms under its own
-        modulus in one pass.
         """
         n = tabs.n
         q_s = tabs.q_s
@@ -2122,8 +1924,8 @@ class NumpyBackend(ArithmeticBackend):
         return x
 
     @staticmethod
-    def _inverse_stages_rns(x, tabs):
-        """GS stages over an ``(L, n)`` (or ``(B, L, n)``) limb stack."""
+    def _inverse_stages(x, tabs):
+        """Gentleman-Sande stages with lazy reduction (values < 2q)."""
         n = tabs.n
         q_s = tabs.q_s
         q2_s = tabs.q2_s
@@ -2148,11 +1950,11 @@ class NumpyBackend(ArithmeticBackend):
         return x
 
     @staticmethod
-    def _forward_stages_rns_u32(x, tabs):
-        """CT stages over a limb stack with direct single-word products.
+    def _forward_stages_u32(x, tabs):
+        """CT stages with direct single-word products (moduli < 2^32).
 
-        The per-limb variant of :meth:`_forward_stages_u32`: all moduli are
-        below 2^32, values stay fully reduced at every stage.
+        Values stay fully reduced (< q) at every stage, so each butterfly
+        operand satisfies the ``y < 2^32`` Shoup precondition.
         """
         n = tabs.n
         q_s = tabs.q_s
@@ -2174,8 +1976,8 @@ class NumpyBackend(ArithmeticBackend):
         return x
 
     @staticmethod
-    def _inverse_stages_rns_u32(x, tabs):
-        """GS stages over a limb stack with direct single-word products."""
+    def _inverse_stages_u32(x, tabs):
+        """GS stages with direct single-word products (moduli < 2^32)."""
         n = tabs.n
         q_s = tabs.q_s
         lead = x.shape[:-1]
@@ -2196,149 +1998,6 @@ class NumpyBackend(ArithmeticBackend):
             t *= 2
             m = h
         return x
-
-    def _rns_tables(self, contexts) -> "_RNSNTTTables | None":
-        """Stacked per-limb tables for one tuple of same-degree NTT contexts."""
-        if not contexts:
-            return None
-        n = contexts[0].ring_degree
-        moduli = tuple(ctx.modulus for ctx in contexts)
-        key = (n, moduli)
-        tabs = self._rns_ntt_tables.get(key)
-        if tabs is None and key not in self._rns_ntt_tables:
-            usable = (
-                n >= self.min_ntt_length
-                and all(ctx.ring_degree == n for ctx in contexts)
-                and all(self._mont(q) is not None for q in moduli)
-            )
-            tabs = (
-                _RNSNTTTables([self._tables(ctx) for ctx in contexts], moduli)
-                if usable else None
-            )
-            self._rns_ntt_tables[key] = tabs
-        return tabs
-
-    def _cyclic_stage_twiddles(self, length: int, omega: int, q: int):
-        key = (length, omega, q)
-        stages = self._cyclic_tables.get(key)
-        if stages is None:
-            stages = []
-            size = 2
-            while size <= length:
-                half = size // 2
-                w_len = pow(omega, length // size, q)
-                powers = [1] * half
-                for j in range(1, half):
-                    powers[j] = (powers[j - 1] * w_len) % q
-                stages.append(_shoup_split(powers, q))
-                size *= 2
-            self._cyclic_tables[key] = stages
-        return stages
-
-    def cyclic_ntt_batch(self, matrix, omega, q):
-        rows = len(matrix)
-        if rows == 0:
-            return []
-        length = len(matrix[0])
-        if (
-            q % 2 == 0
-            or q.bit_length() > NUMPY_MAX_MODULUS_BITS
-            or rows * length < self.min_ntt_length
-        ):
-            return self._fallback.cyclic_ntt_batch(matrix, omega, q)
-        arr = _np.stack([self._to_array(row, q) for row in matrix])
-        return self._cyclic_core(arr, omega, q).tolist()
-
-    def _cyclic_core(self, arr, omega, q):
-        """In-order cyclic NTT of every row of a ``(rows, length)`` array.
-
-        Input values may be anywhere below ``2q``; the output is fully
-        reduced.  This is the array-resident core shared by
-        :meth:`cyclic_ntt_batch` and the four-step phases.
-        """
-        rows, length = arr.shape
-        order = list(_bit_reverse_indices(length))
-        arr = arr[:, order]
-        q_u = _np.uint64(q)
-        q2 = _np.uint64(2 * q)
-        size = 2
-        for w, s_lo, s_hi in self._cyclic_stage_twiddles(length, omega, q):
-            half = size // 2
-            view = arr.reshape(rows, length // size, size)
-            u0 = view[..., :half]
-            u = _np.minimum(u0, u0 - q2)
-            v = _shoup_mul_lazy(
-                view[..., half:], w[None, None, :],
-                s_lo[None, None, :], s_hi[None, None, :], q_u,
-            )
-            _np.add(u, v, out=view[..., :half])
-            v -= q2
-            _np.subtract(u, v, out=view[..., half:])
-            size *= 2
-        arr = _np.minimum(arr, arr - q2)
-        return _np.minimum(arr, arr - q_u)
-
-    # -- four-step (Bailey) NTT: array-resident transposes -----------------
-    def _four_step(self, context, rows: int) -> "_FourStepTables":
-        key = (context.ring_degree, context.modulus, rows)
-        tables = self._four_step_tables.get(key)
-        if tables is None:
-            tables = _FourStepTables(context, rows)
-            self._four_step_tables[key] = tables
-        return tables
-
-    def four_step_ntt(self, context, coefficients, rows):
-        n = context.ring_degree
-        q = context.modulus
-        if not self._ntt_ok(context):
-            return super().four_step_ntt(context, coefficients, rows)
-        cols = n // rows
-        fs = self._four_step(context, rows)
-        q_u = _np.uint64(q)
-        x = self._to_array(coefficients, q)
-        # Step 0: psi pre-twist (element-wise Shoup multiply, reduced to < q).
-        x = _shoup_mul_lazy(x, fs.psi_w, fs.psi_lo, fs.psi_hi, q_u)
-        x = _np.minimum(x, x - q_u)
-        # Phase 1: column DFTs — a transpose instead of Python stride gathers.
-        columns = _np.ascontiguousarray(x.reshape(rows, cols).T)
-        columns = self._cyclic_core(columns, fs.omega_rows, q)
-        # Twiddle by omega^(r*c) (the flattening is already column-major).
-        flat = columns.reshape(-1)
-        flat = _shoup_mul_lazy(flat, fs.tw_w, fs.tw_lo, fs.tw_hi, q_u)
-        flat = _np.minimum(flat, flat - q_u)
-        # Phase 2: row DFTs after transposing back.
-        rows_mat = _np.ascontiguousarray(flat.reshape(cols, rows).T)
-        rows_mat = self._cyclic_core(rows_mat, fs.omega_cols, q)
-        # natural[k1 + rows*k2] = rows_mat[k1, k2]; then bit-reverse to match
-        # NTTContext.forward output order.
-        natural = _np.ascontiguousarray(rows_mat.T).reshape(-1)
-        return natural[fs.order].tolist()
-
-    def four_step_intt(self, context, values, rows):
-        n = context.ring_degree
-        q = context.modulus
-        if not self._ntt_ok(context):
-            return super().four_step_intt(context, values, rows)
-        cols = n // rows
-        fs = self._four_step(context, rows)
-        q_u = _np.uint64(q)
-        tables = self._tables(context)
-        x = self._to_array(values, q)
-        # Undo the bit-reversed output order (the permutation is an involution).
-        natural = x[fs.order]
-        rows_mat = _np.ascontiguousarray(natural.reshape(cols, rows).T)
-        rows_mat = self._cyclic_core(rows_mat, fs.omega_cols_inv, q)
-        flat = _np.ascontiguousarray(rows_mat.T).reshape(-1)
-        flat = _shoup_mul_lazy(flat, fs.tw_inv_w, fs.tw_inv_lo, fs.tw_inv_hi, q_u)
-        flat = _np.minimum(flat, flat - q_u)
-        columns = self._cyclic_core(flat.reshape(cols, rows), fs.omega_rows_inv, q)
-        twisted = _np.ascontiguousarray(columns.T).reshape(-1)
-        # Scale by n^-1, then undo the psi twist.
-        x = _shoup_mul_lazy(twisted, tables.n_inv_w, tables.n_inv_s_lo,
-                            tables.n_inv_s_hi, q_u)
-        x = _np.minimum(x, x - q_u)
-        x = _shoup_mul_lazy(x, fs.psi_inv_w, fs.psi_inv_lo, fs.psi_inv_hi, q_u)
-        return _np.minimum(x, x - q_u).tolist()
 
 
 class PerLimbNumpyBackend(NumpyBackend):
@@ -2384,8 +2043,6 @@ class PerLimbNumpyBackend(NumpyBackend):
     pointwise_mac_many = ArithmeticBackend.pointwise_mac_many
     signed_permute = ArithmeticBackend.signed_permute
     gadget_decompose = ArithmeticBackend.gadget_decompose
-    four_step_ntt = ArithmeticBackend.four_step_ntt
-    four_step_intt = ArithmeticBackend.four_step_intt
 
 
 # ---------------------------------------------------------------------------

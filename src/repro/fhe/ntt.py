@@ -10,7 +10,9 @@ NTT-substituted TFHE of the paper:
   decomposition of a large NTT into two passes of smaller NTTs with a twisting
   step in between.  This mirrors exactly the hardware split used by Trinity
   (NTTU computes phase-1, the CUs compute phase-2), and it is validated
-  against the direct transform in the tests.
+  against the direct transform in the tests.  It is a reference model of
+  that split, not a production path: every backend runs the same python
+  composition of it.
 
 The transforms execute on the active :mod:`repro.fhe.backend`
 (:func:`~repro.fhe.backend.active_backend`): the exact pure-Python reference
@@ -163,10 +165,9 @@ def four_step_ntt(context: NTTContext, coefficients: Sequence[int], rows: int) -
       and a final index permutation back to the standard NTT output order.
 
     The whole decomposition is a single backend dispatch
-    (:meth:`ArithmeticBackend.four_step_ntt`): the python backend composes
-    the element-wise and cyclic-batch primitives with list gather/scatter in
-    between, while the numpy backend keeps every transpose and permutation
-    resident as array operations.
+    (:meth:`ArithmeticBackend.four_step_ntt`), which every backend inherits:
+    it composes the element-wise and cyclic-batch primitives with list
+    gather/scatter in between.  No production path calls it.
     """
     _four_step_geometry(context, rows)
     return context.active_backend().four_step_ntt(context, coefficients, rows)

@@ -20,6 +20,7 @@ import pytest
 from repro.fhe import modmath
 from repro.fhe.backend import (
     NumpyBackend,
+    PerLimbNumpyBackend,
     PythonBackend,
     available_backends,
     get_backend,
@@ -72,6 +73,18 @@ MODULUS_COMBOS = _parameter_set_moduli()
 def _vectors(q, n, seed, count=2):
     rng = random.Random((seed * 0x9E3779B1 + q + n) & 0xFFFFFFFF)
     return [[rng.randrange(q) for _ in range(n)] for _ in range(count)]
+
+
+def _same_width_moduli(q, n, count):
+    """``q`` plus NTT primes of its bit width: a basis in ``q``'s word regime."""
+    moduli = [q]
+    index = 0
+    while len(moduli) < count:
+        p = modmath.find_ntt_prime(q.bit_length(), n, index=index)
+        index += 1
+        if p != q:
+            moduli.append(p)
+    return moduli
 
 
 @pytest.mark.parametrize("q,n", MODULUS_COMBOS)
@@ -139,6 +152,34 @@ class TestNTTParity:
         assert NUMPY.negacyclic_convolution(context, a, b) == \
             PYTHON.negacyclic_convolution(context, a, b)
 
+    def test_ntt_batches(self, q, n):
+        context = NTTContext(n, q)
+        for rows in ([], _vectors(q, n, 10, count=1), _vectors(q, n, 11, count=4)):
+            fwd = PYTHON.ntt_forward_batch(context, rows)
+            assert NUMPY.ntt_forward_batch(context, rows) == fwd
+            assert NUMPY.ntt_inverse_batch(context, fwd) == \
+                PYTHON.ntt_inverse_batch(context, fwd) == rows
+
+    @pytest.mark.parametrize("limbs", [1, 3])
+    def test_limb_store_transforms(self, q, n, limbs):
+        """batched_ntt/intt and limbs_convolution on one- and multi-limb stores."""
+        moduli = _same_width_moduli(q, n, limbs)
+        contexts = [NTTContext(n, p) for p in moduli]
+        rows_a = [_vectors(p, n, 12)[0] for p in moduli]
+        rows_b = [_vectors(p, n, 12)[1] for p in moduli]
+
+        def run(backend):
+            a = backend.pack_limbs(rows_a, moduli)
+            b = backend.pack_limbs(rows_b, moduli)
+            fwd = backend.batched_ntt(contexts, a)
+            outs = (fwd, backend.batched_intt(contexts, fwd),
+                    backend.limbs_convolution(contexts, a, b))
+            return [backend.unpack_limbs(out) for out in outs]
+
+        expected = run(PYTHON)
+        assert run(NUMPY) == expected
+        assert expected[1] == rows_a
+
     def test_cyclic_ntt_batch(self, q, n):
         context = NTTContext(n, q)
         rows = _vectors(q, n, 8, count=3)
@@ -155,6 +196,56 @@ class TestNTTParity:
         with use_backend(NUMPY):
             assert four_step_ntt(context, a, rows) == expected
             assert four_step_intt(context, expected, rows) == a
+
+
+class TestNTTCore:
+    """The numpy NTT core's one table cache and its python fallbacks."""
+
+    @pytest.mark.parametrize("bits", [30, 40])   # single-word and lazy regimes
+    def test_basis_tables_stack_cached_limb_tables(self, bits):
+        n = 64
+        backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
+        contexts = tuple(NTTContext(n, p) for p in modmath.find_ntt_primes(bits, n, 2))
+        moduli = tuple(ctx.modulus for ctx in contexts)
+        stacked = backend._ntt_tables(contexts)
+        assert stacked.use32 == (bits <= 32)
+        assert stacked.mont is backend._mont_vec(moduli)
+        for i, ctx in enumerate(contexts):
+            assert (n, (ctx.modulus,)) in backend._ntt_cache
+            single = backend._ntt_tables((ctx,))
+            names = type(stacked)._LIMB_ARRAYS
+            if stacked.use32:
+                names += type(stacked)._U32_ARRAYS
+            for name in names:
+                assert (getattr(stacked, name)[i] == getattr(single, name)[0]).all(), name
+
+    @pytest.mark.parametrize("q", [q for q, n in MODULUS_COMBOS if n == 64])
+    def test_below_crossover_is_the_python_reference(self, q):
+        backend = NumpyBackend()                    # default crossovers
+        n = 64
+        assert n < backend.min_ntt_length
+        context = NTTContext(n, q)
+        a, b = _vectors(q, n, 30)
+        assert backend._ntt_tables((context,)) is None
+        assert backend.ntt_forward(context, a) == PYTHON.ntt_forward(context, a)
+        assert backend.ntt_inverse(context, a) == PYTHON.ntt_inverse(context, a)
+        assert backend.negacyclic_convolution(context, a, b) == \
+            PYTHON.negacyclic_convolution(context, a, b)
+        assert backend.ntt_forward_batch(context, [a, b]) == \
+            PYTHON.ntt_forward_batch(context, [a, b])
+        assert backend.ntt_inverse_batch(context, [a, b]) == \
+            PYTHON.ntt_inverse_batch(context, [a, b])
+
+    def test_per_limb_row_batches(self):
+        """The per-limb backend loops its row batches over the numpy scalar
+        transforms, which must not loop back into the batches."""
+        backend = PerLimbNumpyBackend(min_vector_length=0, min_ntt_length=0)
+        q, n = MODULUS_COMBOS[0]
+        context = NTTContext(n, q)
+        rows = _vectors(q, n, 31, count=3)
+        fwd = PYTHON.ntt_forward_batch(context, rows)
+        assert backend.ntt_forward_batch(context, rows) == fwd
+        assert backend.ntt_inverse_batch(context, fwd) == rows
 
 
 class TestUnreducedInputParity:
